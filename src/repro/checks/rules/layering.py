@@ -22,8 +22,7 @@ LAYER_CONTRACTS: Dict[str, Tuple[str, ...]] = {
     "repro.obs": (
         "repro.core", "repro.des", "repro.network", "repro.baselines",
         "repro.contact", "repro.radio", "repro.traffic", "repro.mobility",
-        "repro.energy", "repro.metrics", "repro.trace", "repro.harness",
-        "repro.analysis",
+        "repro.energy", "repro.metrics", "repro.harness", "repro.analysis",
     ),
     # The scenario layer sits between mobility/contact/network and the
     # harness: it may build configs (registry) but must never reach up

@@ -1,13 +1,14 @@
 """Simulation events.
 
-An :class:`Event` pairs a firing time with a callback.  Events are ordered
-by ``(time, priority, seq)`` so that simultaneous events fire in a
-deterministic order: lower priority value first, then insertion order.
+An :class:`Event` pairs a firing time with a callback.  The scheduler
+orders events by ``(time, priority, seq)`` so that simultaneous events
+fire in a deterministic order: lower priority value first, then
+insertion order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 
 class Event:
@@ -46,18 +47,6 @@ class Event:
     def active(self) -> bool:
         """``True`` until the event is cancelled (or has fired)."""
         return not self.cancelled
-
-    def sort_key(self) -> Tuple[float, int, int]:
-        """Heap ordering key: (time, priority, seq)."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        # Hot path (every heap sift): compare attributes directly.
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.callback, "__name__", repr(self.callback))

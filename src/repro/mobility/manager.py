@@ -14,13 +14,11 @@ Three scaling mechanisms keep 10k-node runs routine (PR 8):
   Python loop, and static models (stationary sinks) are gathered once;
 * **incremental re-binning** — cell keys for all nodes come from one
   vectorized ``floor``; only the nodes whose key actually changed are
-  moved between cells (``spatial_index="rebuild"`` restores the
-  historical full rebuild — results are identical either way);
+  moved between cells;
 * **per-tick neighbor memoization** — :meth:`neighbors_of` /
   :meth:`neighbor_set` answers are cached until the next :meth:`step`,
   so the medium's per-frame scans stop re-deriving the same contact
-  set (``neighbor_cache=False`` disables the cache; again results are
-  identical, only slower).
+  set.
 
 All of it is provably order-preserving: neighbor lists keep the
 historical 3 x 3 cell-scan order (cells in ``(cx-1..cx+1, cy-1..cy+1)``
@@ -55,20 +53,14 @@ class MobilityManager:
         models: Sequence[MobilityModel],
         comm_range: float = 10.0,
         tick_s: float = 1.0,
-        neighbor_cache: bool = True,
-        spatial_index: str = "incremental",
     ) -> None:
         if comm_range <= 0 or tick_s <= 0:
             raise ValueError("comm_range and tick_s must be positive")
-        if spatial_index not in ("incremental", "rebuild"):
-            raise ValueError(f"unknown spatial_index {spatial_index!r}")
         self._scheduler = scheduler
         self.area = area
         self.models = list(models)
         self.comm_range = comm_range
         self.tick_s = tick_s
-        self.neighbor_cache = neighbor_cache
-        self.spatial_index = spatial_index
 
         ids: List[int] = []
         for model in self.models:
@@ -131,10 +123,7 @@ class MobilityManager:
             model.step(dt)
         self._gather()
         self._pos_list = None
-        if self.spatial_index == "incremental":
-            self._update_index()
-        else:
-            self._rebuild_index()
+        self._update_index()
         if self._nbr_lists:
             self._nbr_lists = {}
             self._nbr_sets = {}
@@ -157,7 +146,7 @@ class MobilityManager:
         return np.floor(self.positions * self._inv_range).astype(np.int64)
 
     def _rebuild_index(self) -> None:
-        """Full re-bin of every node (initial build / ``"rebuild"`` mode)."""
+        """Initial bin of every node (later ticks use :meth:`_update_index`)."""
         self._cells.clear()
         keys = self._compute_cell_keys()
         self._cell_keys = keys
@@ -213,12 +202,7 @@ class MobilityManager:
         """Whether two nodes are within communication range."""
         if a == b:
             return True
-        if self.neighbor_cache:
-            return b in self.neighbor_set(a)
-        ia, ib = self._index_of[a], self._index_of[b]
-        dx = self.positions[ia, 0] - self.positions[ib, 0]
-        dy = self.positions[ia, 1] - self.positions[ib, 1]
-        return dx * dx + dy * dy <= self._range_sq
+        return b in self.neighbor_set(a)
 
     def neighbors_of(self, node_id: int) -> List[int]:
         """Ids of all nodes within range (grid-indexed lookup).
@@ -232,8 +216,7 @@ class MobilityManager:
         if cached is not None:
             return cached
         result = self._scan_neighbors(node_id)
-        if self.neighbor_cache:
-            self._nbr_lists[node_id] = result
+        self._nbr_lists[node_id] = result
         return result
 
     def neighbor_set(self, node_id: int) -> FrozenSet[int]:
@@ -247,8 +230,7 @@ class MobilityManager:
         if cached is not None:
             return cached
         result = frozenset(self.neighbors_of(node_id))
-        if self.neighbor_cache:
-            self._nbr_sets[node_id] = result
+        self._nbr_sets[node_id] = result
         return result
 
     def _scan_neighbors(self, node_id: int) -> List[int]:

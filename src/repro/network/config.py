@@ -22,6 +22,12 @@ from repro.network.faults import FaultSpec
 from repro.protocols import PROTOCOLS, get_protocol, packet_protocol_names
 from repro.scenario.spec import ScenarioSpec
 
+#: Keys of retired fields that :meth:`SimulationConfig.from_dict` still
+#: accepts and ignores, so configs saved in results and checkpoints
+#: before the fields were removed keep loading.  Both were kernel
+#: tuning knobs that never changed a seeded result.
+RETIRED_FIELDS = frozenset({"neighbor_cache", "spatial_index"})
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -56,17 +62,6 @@ class SimulationConfig:
     #: Scenario provenance; a plan-driven spec (``mobility == "plan"``)
     #: supplies its inline plan when ``plan_path`` is unset.
     scenario: Optional[ScenarioSpec] = None
-
-    # --- kernel tuning ----------------------------------------------------------
-    # Both knobs are result-neutral: a seeded run yields a byte-identical
-    # ``SimulationResult.to_dict()`` for every combination; they only
-    # trade memory for speed at scale (see docs/API.md, "Scaling").
-    #: Memoize neighbor lists/sets between mobility ticks.
-    neighbor_cache: bool = True
-    #: Spatial-index maintenance: ``"incremental"`` re-bins only nodes
-    #: that crossed a grid-cell boundary; ``"rebuild"`` re-bins all
-    #: nodes every tick (the historical behaviour).
-    spatial_index: str = "incremental"
 
     # --- traffic / channel ----------------------------------------------------
     mean_arrival_s: float = 120.0
@@ -153,8 +148,6 @@ class SimulationConfig:
             raise ValueError("queue capacity must be at least 1")
         if self.invariant_interval_s <= 0:
             raise ValueError("invariant check interval must be positive")
-        if self.spatial_index not in ("incremental", "rebuild"):
-            raise ValueError(f"unknown spatial index {self.spatial_index!r}")
 
     # ------------------------------------------------------------------
     # derived pieces
@@ -210,13 +203,17 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SimulationConfig":
-        """Rebuild a config from :meth:`to_dict` output (lossless)."""
+        """Rebuild a config from :meth:`to_dict` output (lossless).
+
+        Keys in :data:`RETIRED_FIELDS` are dropped; any other key that is
+        not a field raises ``ValueError``.
+        """
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - known - RETIRED_FIELDS
         if unknown:
             raise ValueError(
                 f"unknown SimulationConfig fields: {sorted(unknown)}")
-        payload = dict(data)
+        payload = {k: v for k, v in data.items() if k in known}
         params = payload.get("params")
         if params is not None and not isinstance(params, ProtocolParameters):
             payload["params"] = ProtocolParameters.from_dict(params)  # type: ignore[arg-type]

@@ -8,18 +8,12 @@ in any way — ``SimulationResult.to_dict()`` stays byte-identical.
 import json
 import pathlib
 
-import pytest
-
-from repro.contact.detector import ContactTracer
-from repro.des import EventScheduler
 from repro.harness.cli import main as cli_main
 from repro.metrics.timeseries import TimeSeriesProbe
-from repro.mobility import Area, MobilityManager, StationaryMobility
 from repro.network.config import SimulationConfig
 from repro.network.simulation import Simulation, run_simulation
 from repro.obs.export import read_trace
 from repro.obs.report import render_report
-from repro.trace import TraceRecorder
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -99,22 +93,9 @@ class TestRunTraces:
 
 
 # ----------------------------------------------------------------------
-# legacy hook shims
+# legacy hook shims (removed; the supported forms stay warning-free)
 # ----------------------------------------------------------------------
 class TestDeprecationShims:
-    def test_trace_recorder_sim_path_warns_but_works(self):
-        sim = Simulation(SimulationConfig(**SMOKE))
-        with pytest.deprecated_call():
-            recorder = TraceRecorder(sim)
-        recorder.install()
-        sim.run()
-        assert len(recorder) > 0
-
-    def test_timeseries_probe_legacy_construction_warns(self):
-        sim = Simulation(SimulationConfig(**SMOKE))
-        with pytest.deprecated_call():
-            TimeSeriesProbe(sim, period_s=100.0)
-
     def test_timeseries_attach_is_warning_free(self, recwarn):
         sim = Simulation(SimulationConfig(**SMOKE))
         probe = TimeSeriesProbe.attach(sim, period_s=100.0)
@@ -123,17 +104,6 @@ class TestDeprecationShims:
         sim.run()
         assert len(probe.samples) > 0
         assert probe.samples[-1].generated == sim.collector.messages_generated
-
-    def test_contact_tracer_callback_kwargs_warn(self):
-        area = Area(50, 50)
-        model = StationaryMobility([0, 1], area,
-                                   positions=[(1.0, 1.0), (2.0, 2.0)])
-        mgr = MobilityManager(EventScheduler(), area, [model],
-                              comm_range=10.0)
-        with pytest.deprecated_call():
-            ContactTracer(mgr, on_contact_start=lambda a, b, t: None)
-        with pytest.deprecated_call():
-            ContactTracer(mgr, on_contact_end=lambda a, b, t0, t1: None)
 
 
 # ----------------------------------------------------------------------

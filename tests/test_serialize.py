@@ -97,6 +97,17 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match="n_drones"):
             SimulationConfig.from_dict(data)
 
+    def test_retired_kernel_knobs_load_and_are_ignored(self):
+        # Configs saved while neighbor_cache / spatial_index were fields
+        # (results, checkpoints) still load, onto the one kernel path.
+        data = SimulationConfig().to_dict()
+        data.update(neighbor_cache=False, spatial_index="rebuild")
+        assert SimulationConfig.from_dict(_via_json(data)) \
+            == SimulationConfig()
+        data["n_drones"] = 4
+        with pytest.raises(ValueError, match="n_drones"):
+            SimulationConfig.from_dict(data)
+
     @given(protocol=st.sampled_from(sorted(PROTOCOLS)),
            seed=st.integers(min_value=0, max_value=2 ** 63),
            n_sensors=st.integers(min_value=1, max_value=300),
