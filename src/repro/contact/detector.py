@@ -63,11 +63,7 @@ class ContactTracer:
 
     def scan(self, now: float) -> None:
         """Compare the current in-range pairs against the active set."""
-        current: Set[Tuple[int, int]] = set()
-        for node in self._mobility.node_ids:
-            for other in self._mobility.neighbors_of(node):
-                if other > node:
-                    current.add((node, other))
+        current = self._mobility.in_range_pairs()
 
         # One symmetric difference over already-sorted pairs, iterated in
         # sorted order: set iteration order is hash-dependent (DET003),

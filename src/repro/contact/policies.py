@@ -14,6 +14,7 @@ for the paper's mathematics.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Dict, List, Optional
 
 from repro.core.ftd import receiver_copy_ftd, sender_ftd_after_multicast
@@ -27,6 +28,12 @@ class LazyXiEstimator:
     Between updates, ``floor((now - last_event) / timeout)`` decay steps
     are applied on read — equivalent to the timer-driven estimator when
     events are processed in time order.
+
+    Stability contract: a read changes state only when it crosses a
+    decay boundary, ``last_event + timeout``.  Every read before
+    :meth:`stable_until` returns the current estimate and leaves the
+    estimator untouched, which lets the contact exchange loop skip
+    rounds that would only repeat such reads.
     """
 
     def __init__(self, alpha: float = 0.3, timeout_s: float = 60.0,
@@ -46,6 +53,15 @@ class LazyXiEstimator:
         """Current estimate, with pending decay applied."""
         self._apply_decay(now)
         return self._xi
+
+    def stable_until(self) -> float:
+        """A time before which no read changes the estimator's state.
+
+        The next decay boundary, less a margin that absorbs the rounding
+        of ``(now - last_event) / timeout`` in :meth:`_apply_decay`.
+        """
+        boundary = self._last_event + self.timeout_s
+        return boundary - 1e-9 * (abs(self._last_event) + self.timeout_s)
 
     def on_transmission(self, receiver_xi: float, now: float) -> float:
         """Eq. 1 transmission branch (single receiver)."""
@@ -98,6 +114,20 @@ class ContactPolicy(abc.ABC):
                        now: float) -> None:
         """Sender-side state update after ``peer`` accepted ``copy``."""
 
+    def metric_stable_until(self, now: float) -> float:
+        """A time before which this policy's reads change nothing.
+
+        The promise covers :meth:`metric`, :meth:`wants_to_send`,
+        :meth:`incoming_copy` and a threshold refusal in :meth:`accept`:
+        called before the returned time, with the node's state otherwise
+        unchanged, they return the same answers and alter no state, except
+        that a refusal adds one to ``queue.stats.drops_threshold`` (the
+        contact level binds no telemetry bus to its queues, so a refusal
+        emits nothing).  The exchange loop relies on it to fast-forward
+        repeated refusals.  The default, ``now``, promises nothing.
+        """
+        return now
+
     def accept(self, copy: MessageCopy, sender: "ContactPolicy",
                now: float) -> Optional[MessageCopy]:
         """Receiver-side: store (or consume) an incoming copy.
@@ -146,6 +176,13 @@ class FadPolicy(ContactPolicy):
         if self.is_sink:
             return 1.0
         return self.estimator.xi(now)
+
+    def metric_stable_until(self, now: float) -> float:
+        """Reads are stable until the next decay boundary (forever for
+        sinks, whose metric is constant)."""
+        if self.is_sink:
+            return math.inf
+        return self.estimator.stable_until()
 
     def wants_to_send(self, peer: ContactPolicy, now: float) -> Optional[MessageCopy]:
         """Offer the lowest-FTD message to a strictly better peer."""

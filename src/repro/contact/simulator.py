@@ -182,6 +182,8 @@ class ContactSimResult:
     average_hops: Optional[float]
     transfers: int
     contacts: int
+    #: Contacts with at least one offer that reached ``accept``, whether
+    #: stored or refused (fast-forwarded refusals count as reaching it).
     usable_contacts: int
 
     def transfers_per_delivery(self) -> Optional[float]:
@@ -294,14 +296,40 @@ class ContactSimulation:
         slot = contact.duration / max(budget, 1)
         used = 0
         stalled = 0
+        # A *futile round* is an offer refused for threshold followed by
+        # no offer back.  While one is open, ``refused`` holds the
+        # refusing receiver, the refusal's accept instant and the copy's
+        # time floor.  ``stable`` is the policies' stability bound taken
+        # when the previous round closed futile (None once anything else
+        # happened in between).
+        refused: Optional[Tuple[ContactPolicy, float, float]] = None
+        stable: Optional[float] = None
         # Alternate directions until the budget is spent or both stall.
         direction = 0
         while used < budget and stalled < 2:
             src, dst = (pa, pb) if direction == 0 else (pb, pa)
             direction ^= 1
-            copy = src.wants_to_send(dst, start + used * slot)
+            now = start + used * slot
+            copy = src.wants_to_send(dst, now)
             if copy is None:
                 stalled += 1
+                if refused is None:
+                    stable = None
+                    continue
+                receiver, accepted_at, floor = refused
+                refused = None
+                if stable is not None and max(accepted_at, now) < stable:
+                    # A second futile round in a row, read entirely before
+                    # the bound taken after the first: no read changed
+                    # state (metric_stable_until), so every further round
+                    # reading below that bound repeats it exactly.  Skip
+                    # those, booking their refusals.
+                    skip = _futile_rounds(start, end, slot, used, budget,
+                                          floor, stable)
+                    receiver.queue.stats.drops_threshold += skip
+                    used += skip
+                stable = min(pa.metric_stable_until(now),
+                             pb.metric_stable_until(now))
                 continue
             # Transfer instants are spread over the contact, but can never
             # precede the message's creation (it may have been sensed
@@ -314,18 +342,22 @@ class ContactSimulation:
                 # transfer could legally happen, so this direction
                 # stalls instead of delivering from the future.
                 stalled += 1
+                refused = stable = None
                 continue
             stalled = 0
-            when = max(start + (used + 0.5) * slot, floor)
-            if when > end:
-                # Float-safety net: the spread term stays below ``end``
-                # for any realizable budget, but the timestamp contract
-                # (within [start, end]) must hold unconditionally.
-                when = end
+            when = _transfer_instant(start, end, slot, used, floor)
+            drops = dst.queue.stats.drops_threshold
             stored = dst.accept(copy, src, when)
             used += 1
             if stored is None:
+                threshold = dst.queue.stats.drops_threshold != drops
+                if refused is not None or not threshold:
+                    # A refusal right after another one, or not for
+                    # threshold, breaks the run of futile rounds.
+                    stable = None
+                refused = (dst, when, floor) if threshold else None
                 continue
+            refused = stable = None
             src.after_transfer(copy, dst, when)
             self.transfers += 1
             if dst.is_sink:
@@ -414,6 +446,44 @@ class ContactSimulation:
             contacts=n_contacts,
             usable_contacts=self.usable_contacts,
         )
+
+
+def _transfer_instant(start: float, end: float, slot: float, used: int,
+                      floor: float) -> float:
+    """When the exchange's ``used``-th slot moves a copy born at ``floor``.
+
+    The slot's midpoint, but never before the copy exists and never past
+    the contact's ``end``: the spread term stays below ``end`` for any
+    realizable budget, but the timestamp contract (within [start, end])
+    must hold unconditionally.
+    """
+    when = max(start + (used + 0.5) * slot, floor)
+    return end if when > end else when
+
+
+def _futile_rounds(start: float, end: float, slot: float, used: int,
+                   budget: int, floor: float, stable: float) -> int:
+    """How many futile rounds from slot ``used`` on read only before
+    ``stable``.
+
+    Round ``k`` reads at its offer instant ``start + k * slot``, at its
+    transfer instant, and (unless it spends the last slot) at the
+    reverse offer ``start + (k + 1) * slot``.  A round's latest read
+    never precedes an earlier round's, so only the last skipped round
+    needs checking.
+    """
+    stop = budget
+    reach = (stable - start) / slot
+    if reach < stop:
+        stop = max(used, int(reach))
+    while stop > used:
+        last_read = _transfer_instant(start, end, slot, stop - 1, floor)
+        if stop < budget:
+            last_read = max(last_read, start + stop * slot)
+        if last_read < stable:
+            break
+        stop -= 1
+    return stop - used
 
 
 def run_contact_simulation(config: ContactSimConfig) -> ContactSimResult:

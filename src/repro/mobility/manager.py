@@ -20,6 +20,10 @@ Three scaling mechanisms keep 10k-node runs routine (PR 8):
   so the medium's per-frame scans stop re-deriving the same contact
   set.
 
+Callers that need every in-range pair of a tick at once (the contact
+tracer) use :meth:`in_range_pairs`, one vectorized half-neighbourhood
+sweep over the same grid keys and distance test.
+
 All of it is provably order-preserving: neighbor lists keep the
 historical 3 x 3 cell-scan order (cells in ``(cx-1..cx+1, cy-1..cy+1)``
 order, ascending node id within a cell), which the seeded byte-identical
@@ -29,7 +33,7 @@ guarantee rests on (LPL wake events are scheduled in that order).
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -41,6 +45,10 @@ from repro.mobility.base import Area, MobilityModel
 #: density a grid cell holds only a handful of nodes and the scalar
 #: loop wins; dense hot spots amortize numpy's per-call cost.
 _VECTOR_THRESHOLD = 32
+
+#: Cell offsets of the half 3 x 3 neighbourhood: pairing every cell with
+#: itself and these four neighbours visits each adjacent cell pair once.
+_HALF_NEIGHBOURHOOD = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
 class MobilityManager:
@@ -232,6 +240,60 @@ class MobilityManager:
         result = frozenset(self.neighbors_of(node_id))
         self._nbr_sets[node_id] = result
         return result
+
+    def in_range_pairs(self) -> Set[Tuple[int, int]]:
+        """Every in-range node pair ``(a, b)`` with ``a < b``.
+
+        One vectorized sweep over the grid: rows are grouped by cell
+        key, each cell is paired with itself and its half neighbourhood,
+        and the candidates pass the same float64 ``dx*dx + dy*dy <=
+        range_sq`` test as :meth:`neighbors_of`.  With the same cell keys
+        and the same arithmetic (squared differences are sign-symmetric),
+        the result equals the pair set :meth:`neighbors_of` implies.
+        """
+        keys = self._cell_keys
+        if not len(keys):
+            return set()
+        # One int64 code per cell; the +1 / +3 padding keeps every
+        # neighbour offset's code inside the grid's own code range.
+        low = keys.min(axis=0)
+        width = int(keys[:, 1].max() - low[1]) + 3
+        codes = (keys[:, 0] - low[0] + 1) * width + (keys[:, 1] - low[1] + 1)
+        order = np.argsort(codes, kind="stable")
+        cells, starts, counts = np.unique(codes[order], return_index=True,
+                                          return_counts=True)
+        firsts: List[np.ndarray] = []
+        seconds: List[np.ndarray] = []
+        for ox, oy in _HALF_NEIGHBOURHOOD:
+            target = cells + (ox * width + oy)
+            at = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
+            hit = np.nonzero(cells[at] == target)[0]
+            other = at[hit]
+            n_other = counts[other]
+            sizes = counts[hit] * n_other
+            total = int(sizes.sum())
+            # Expand every (cell, neighbour cell) match into the cross
+            # product of their rows without a Python loop.
+            match = np.repeat(np.arange(hit.size), sizes)
+            local = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes,
+                                                 sizes)
+            width_of = n_other[match]
+            rows_a = order[starts[hit][match] + local // width_of]
+            rows_b = order[starts[other][match] + local % width_of]
+            if ox == 0 and oy == 0:
+                keep = rows_a < rows_b
+                rows_a, rows_b = rows_a[keep], rows_b[keep]
+            firsts.append(rows_a)
+            seconds.append(rows_b)
+        rows_a = np.concatenate(firsts)
+        rows_b = np.concatenate(seconds)
+        d = self.positions[rows_b] - self.positions[rows_a]
+        close = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= self._range_sq
+        low_rows = np.minimum(rows_a, rows_b)[close]
+        high_rows = np.maximum(rows_a, rows_b)[close]
+        ids = self._ids_of_row
+        return {(ids[i], ids[j])
+                for i, j in zip(low_rows.tolist(), high_rows.tolist())}
 
     def _scan_neighbors(self, node_id: int) -> List[int]:
         i = self._index_of[node_id]

@@ -14,6 +14,7 @@ from repro.mobility import (
     RandomWaypointMobility,
     StationaryMobility,
 )
+from repro.mobility.manager import _VECTOR_THRESHOLD
 
 
 class TestStationary:
@@ -214,3 +215,69 @@ class TestGridBinning:
                 other for other in range(len(coords))
                 if other != nid and mgr.in_range(nid, other))
             assert sorted(mgr.neighbors_of(nid)) == expected
+
+
+def _pairs_from_neighbors(mgr):
+    """The in-range pair set as the per-node scan implies it."""
+    return {(node, other) for node in mgr.node_ids
+            for other in mgr.neighbors_of(node) if other > node}
+
+
+class TestInRangePairs:
+    """``in_range_pairs`` is the one-sweep equivalent of ``neighbors_of``."""
+
+    def _manager(self, coords, comm_range=10.0):
+        area = Area(1000, 1000)
+        model = _FixedPositions(list(range(len(coords))), area,
+                                np.array(coords, dtype=float).reshape(-1, 2))
+        return MobilityManager(EventScheduler(), area, [model],
+                               comm_range=comm_range)
+
+    @pytest.mark.parametrize("coords", [[], [(1.0, 1.0)],
+                                        [(1.0, 1.0), (2.0, 2.0)],
+                                        [(1.0, 1.0), (50.0, 50.0)]])
+    def test_tiny_layouts(self, coords):
+        mgr = self._manager(coords)
+        assert mgr.in_range_pairs() == _pairs_from_neighbors(mgr)
+
+    def test_pairs_at_exactly_comm_range_are_in(self):
+        # 3-4-5 triangles and axis-aligned gaps of exactly one range,
+        # straddling cell edges and the origin.
+        coords = [(0.0, 0.0), (3.0, 4.0), (-5.0, 0.0), (0.0, -5.0),
+                  (10.0, 0.0), (13.0, 4.0)]
+        mgr = self._manager(coords, comm_range=5.0)
+        pairs = mgr.in_range_pairs()
+        assert {(0, 1), (0, 2), (0, 3), (4, 5)} <= pairs
+        assert pairs == _pairs_from_neighbors(mgr)
+
+    def test_crowded_cells_above_the_vector_threshold(self):
+        rng = random.Random(3)
+        hot = [(rng.uniform(0, 9.99), rng.uniform(0, 9.99))
+               for _ in range(2 * _VECTOR_THRESHOLD)]
+        rest = [(rng.uniform(-40, 40), rng.uniform(-40, 40))
+                for _ in range(40)]
+        mgr = self._manager(hot + rest)
+        assert max(len(b) for b in mgr._cells.values()) >= _VECTOR_THRESHOLD
+        assert mgr.in_range_pairs() == _pairs_from_neighbors(mgr)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_layouts_match_the_neighbor_scan(self, seed):
+        rng = random.Random(seed)
+        width = rng.choice([5.0, 40.0, 300.0])
+        height = rng.choice([5.0, 40.0, 300.0])
+        n = rng.randrange(0, 150)
+        coords = [(rng.uniform(-width / 2, width), rng.uniform(-height / 2, height))
+                  for _ in range(n)]
+        mgr = self._manager(coords, comm_range=rng.choice([0.7, 3.0, 10.0, 55.0]))
+        assert mgr.in_range_pairs() == _pairs_from_neighbors(mgr)
+
+    def test_moving_nodes_match_every_tick(self):
+        area = Area(60, 35)
+        walk = RandomWalkMobility(list(range(2, 80)), area, random.Random(9),
+                                  speed_min=0.5, speed_max=6.0)
+        sinks = StationaryMobility([0, 1], area, rng=random.Random(4))
+        mgr = MobilityManager(EventScheduler(), area, [sinks, walk],
+                              comm_range=6.0)
+        for _ in range(25):
+            assert mgr.in_range_pairs() == _pairs_from_neighbors(mgr)
+            mgr.step(1.0)
