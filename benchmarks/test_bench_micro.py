@@ -131,6 +131,19 @@ def test_simulation_telemetry_on(benchmark):
     assert result.telemetry is not None
 
 
+def test_simulation_traced(benchmark, tmp_path):
+    """The same run streaming every bus event to a JSONL trace; the gap
+    to :func:`test_simulation_telemetry_on` is the trace writer's cost."""
+    trace_path = tmp_path / "run.jsonl"
+
+    def run():
+        return run_simulation(SimulationConfig(trace_path=str(trace_path),
+                                               **_TELEMETRY_BENCH))
+
+    assert benchmark(run).messages_generated > 0
+    assert trace_path.stat().st_size > 0
+
+
 def test_bus_emit_dispatch(benchmark):
     """Raw bus dispatch cost with one topic subscriber."""
     bus = TelemetryBus()

@@ -300,31 +300,33 @@ class Simulation:
         if self.config.trace_path is not None:
             writer = writer_for_path(self.config.trace_path)
             writer.subscribe(self.enable_telemetry())
-        checker: Optional[InvariantChecker] = None
-        if self.config.check_invariants or invariants_forced():
-            checker = InvariantChecker(
-                self.scheduler, self.sensors, self.collector,
-                interval_s=self.config.invariant_interval_s)
-            checker.install(until=self.config.duration_s)
-        for model in self.fault_models:
-            model.arm(self)  # after trace-writer setup: the bus is final
-        self.mobility.start()
-        for sink in self.sinks:
-            sink.start()
-        for sensor in self.sensors:
-            sensor.start()
+        try:
+            checker: Optional[InvariantChecker] = None
+            if self.config.check_invariants or invariants_forced():
+                checker = InvariantChecker(
+                    self.scheduler, self.sensors, self.collector,
+                    interval_s=self.config.invariant_interval_s)
+                checker.install(until=self.config.duration_s)
+            for model in self.fault_models:
+                model.arm(self)  # after trace-writer setup: the bus is final
+            self.mobility.start()
+            for sink in self.sinks:
+                sink.start()
+            for sensor in self.sensors:
+                sensor.start()
 
-        self.scheduler.run_until(self.config.duration_s)
+            self.scheduler.run_until(self.config.duration_s)
 
-        for sink in self.sinks:
-            sink.finalize()
-        for sensor in self.sensors:
-            sensor.finalize()
-        if checker is not None:
-            checker.check_now()
-            self.invariant_checks_run = checker.checks_run
-        if writer is not None:
-            writer.close()
+            for sink in self.sinks:
+                sink.finalize()
+            for sensor in self.sensors:
+                sensor.finalize()
+            if checker is not None:
+                checker.check_now()
+                self.invariant_checks_run = checker.checks_run
+        finally:
+            if writer is not None:
+                writer.close()
         wall = time.perf_counter() - started  # lint: disable=DET002 (wall metric)
         return self._collect_result(wall)
 

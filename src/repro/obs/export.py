@@ -45,6 +45,11 @@ for _cls in (FrameTx, FrameRx, FrameCollision, RadioSleep, RadioWake,
             CSV_COLUMNS.append(_name)
 del _cls, _name
 
+#: The stdlib C encoder's one-shot entry point.  ``json.dump`` would run
+#: the pure-Python ``_iterencode`` generator and write each token
+#: separately; ``encode`` produces the same text in one call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class _BaseTraceWriter:
     """Shared open/subscribe/close lifecycle for trace writers."""
@@ -95,9 +100,7 @@ class JsonlTraceWriter(_BaseTraceWriter):
     """One JSON object per line per event."""
 
     def write(self, event: TelemetryEvent) -> None:
-        fh = self._handle()
-        json.dump(event_to_dict(event), fh, separators=(",", ":"))
-        fh.write("\n")
+        self._handle().write(_encode_json(event_to_dict(event)) + "\n")
         self.events_written += 1
 
 

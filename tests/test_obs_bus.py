@@ -1,9 +1,18 @@
 """Unit tests for the telemetry substrate (repro.obs)."""
 
+import dataclasses
+import io
 import json
+import math
+import pathlib
+import tempfile
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs import events as events_module
 from repro.obs.bus import ALL_TOPICS, TOPICS, TelemetryBus
 from repro.obs.events import (
     ContactEnd,
@@ -12,6 +21,7 @@ from repro.obs.events import (
     PhaseExit,
     QueueDrop,
     RadioWake,
+    TelemetryEvent,
     event_to_dict,
 )
 from repro.obs.export import (
@@ -280,6 +290,72 @@ class TestExport:
 
     def test_csv_columns_start_with_topic_and_time(self):
         assert CSV_COLUMNS[:2] == ["topic", "time"]
+
+
+# ----------------------------------------------------------------------
+# JSONL encoding, property-based over every event class
+# ----------------------------------------------------------------------
+#: Every concrete event class (one per bus topic).
+EVENT_CLASSES = sorted(
+    (cls for cls in vars(events_module).values()
+     if isinstance(cls, type) and issubclass(cls, TelemetryEvent)
+     and cls.topic),
+    key=lambda cls: cls.topic)
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.2250738585072009e-308, -0.0, 1e16, 0.1]))
+_INTS = st.one_of(st.integers(-2 ** 31, 2 ** 31),
+                  st.integers(-2 ** 200, 2 ** 200),
+                  st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 64]))
+_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(
+        ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028",
+         "\u00e9", "\u20ac", "\U0001f600", "a", "/"])))
+_BY_TYPE = {float: _FLOATS, int: _INTS, str: _TEXT, bool: st.booleans(),
+            typing.Optional[int]: st.none() | _INTS}
+
+
+def _event_strategy(cls):
+    hints = typing.get_type_hints(cls)
+    return st.builds(cls, **{f.name: _BY_TYPE[hints[f.name]]
+                             for f in dataclasses.fields(cls)})
+
+
+_ANY_EVENT = st.one_of([_event_strategy(cls) for cls in EVENT_CLASSES])
+
+
+def _same_value(a, b):
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+class TestJsonlEncoding:
+    def test_event_classes_cover_every_topic(self):
+        assert {cls.topic for cls in EVENT_CLASSES} == set(TOPICS)
+
+    @given(_ANY_EVENT)
+    @settings(max_examples=300, deadline=None)
+    def test_line_matches_stdlib_and_round_trips(self, event):
+        record = event_to_dict(event)
+        expected = json.dumps(record, separators=(",", ":")) + "\n"
+        streamed = io.StringIO()
+        json.dump(record, streamed, separators=(",", ":"))
+        assert streamed.getvalue() + "\n" == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "t.jsonl"
+            writer = JsonlTraceWriter(path)
+            writer.write(event)
+            writer.close()
+            assert path.read_text() == expected
+            (loaded,) = read_trace(path)
+            assert list(loaded) == list(record)
+            assert all(_same_value(record[k], loaded[k]) for k in record)
+            with pytest.raises(ValueError, match="closed"):
+                writer.write(event)
 
 
 # ----------------------------------------------------------------------

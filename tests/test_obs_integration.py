@@ -8,6 +8,8 @@ in any way — ``SimulationResult.to_dict()`` stays byte-identical.
 import json
 import pathlib
 
+import pytest
+
 from repro.harness.cli import main as cli_main
 from repro.metrics.timeseries import TimeSeriesProbe
 from repro.network.config import SimulationConfig
@@ -90,6 +92,27 @@ class TestRunTraces:
         events = read_trace(path)
         tx = [e for e in events if e["topic"] == "frame.tx"]
         assert len(tx) == result.transmissions
+
+    def test_trace_is_closed_when_the_run_raises(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        sim = Simulation(SimulationConfig(trace_path=str(path), **SMOKE))
+        seen = []
+
+        def fail_on_50th_tx(event):
+            seen.append(event)
+            if len(seen) == 50:
+                raise RuntimeError("subscriber failed")
+
+        sim.bus.subscribe("frame.tx", fail_on_50th_tx)
+        with pytest.raises(RuntimeError, match="subscriber failed"):
+            sim.run()
+        assert sim.bus.subscriber_count("*") == 0
+        text = path.read_text()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert len(lines) > 100
+        for line in lines:
+            json.loads(line)
 
 
 # ----------------------------------------------------------------------
