@@ -9,7 +9,9 @@ the structural properties every protocol variant must preserve:
 * **INV-FTD** (Eq. 2-3) — every queued message copy's fault-tolerance
   degree stays in [0, 1];
 * **INV-ORDER** (Sec. 3.1.2) — every data queue stays sorted by
-  ascending ``(ftd, seq)`` with its key index mirroring its copies;
+  ascending ``(ftd, seq)`` with its key index mirroring its copies,
+  and its message-id index names each (unique) queued id under that
+  copy's sort key;
 * **INV-BUFFER** — queue occupancy never exceeds capacity;
 * **INV-CLOCK** — the scheduler clock never runs backwards and no
   pending event is scheduled in the past;
@@ -141,6 +143,23 @@ def check_queue_invariants(
             f"- delivered {stats.removed_delivered} "
             f"- overflow {stats.drops_overflow} - purged {stats.purged}",
             node=node, time=now, equation="Sec. 3.1.2")
+    # The id index must name each queued copy once, under its own key.
+    if len({copy.message_id for copy in copies}) != len(copies):
+        raise InvariantViolation(
+            "INV-ORDER", "queued message ids are not unique", node=node,
+            time=now, equation="Sec. 3.1.2")
+    index = queue.id_index()
+    if len(index) != len(copies):
+        raise InvariantViolation(
+            "INV-ORDER", f"id index has {len(index)} entries for "
+            f"{len(copies)} copies", node=node, time=now,
+            equation="Sec. 3.1.2")
+    for key, copy in zip(keys, copies):
+        if index.get(copy.message_id) != key:
+            raise InvariantViolation(
+                "INV-ORDER", f"id index maps message {copy.message_id} to "
+                f"{index.get(copy.message_id)!r}, not its sort key "
+                f"{key!r}", node=node, time=now, equation="Sec. 3.1.2")
 
 
 class InvariantChecker:

@@ -8,6 +8,19 @@ copy just confirmed at a sink, whose FTD is 1.
 
 Ties on FTD preserve insertion order (FIFO among equals), which keeps
 behaviour deterministic.
+
+Each copy is filed under a unique ``(ftd, seq)`` sort key, and a dict
+maps every queued message id to its copy's key.  With ``n`` copies
+queued, the queries cost:
+
+* ``message_id in queue``: O(1), one dict lookup;
+* locating a copy by id (``remove``, duplicate merge, overflow check):
+  O(log n), a bisect for its key;
+* ``available_slots_for`` / ``count_more_important_than``: O(log n),
+  a bisect over the sorted keys;
+* ``insert`` / ``pop`` / ``remove``: an O(log n) search plus an O(n)
+  list shift;
+* ``peek`` / ``len`` / ``free_slots``: O(1); iteration: O(n).
 """
 
 from __future__ import annotations
@@ -19,6 +32,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.core.message import MessageCopy
 from repro.obs.bus import TelemetryBus
 from repro.obs.events import QueueDrop
+
+_INF = float("inf")
 
 
 @dataclass
@@ -54,6 +69,7 @@ class FtdQueue:
         self.drop_threshold = drop_threshold
         self._keys: List[Tuple[float, int]] = []  # (ftd, seq) sort keys
         self._copies: List[MessageCopy] = []
+        self._index: Dict[int, Tuple[float, int]] = {}  # id -> sort key
         self._seq = 0
         self.stats = QueueStats()
         self._bus: Optional[TelemetryBus] = None
@@ -88,7 +104,7 @@ class FtdQueue:
         return iter(list(self._copies))
 
     def __contains__(self, message_id: int) -> bool:
-        return any(c.message_id == message_id for c in self._copies)
+        return message_id in self._index
 
     @property
     def free_slots(self) -> int:
@@ -131,7 +147,7 @@ class FtdQueue:
             self.stats.drops_overflow += 1
             self._emit_drop(dropped, "overflow")
             # The incoming copy may itself have been the tail just dropped.
-            return self._find(copy.message_id) is not None
+            return copy.message_id in self._index
         return True
 
     def peek(self) -> Optional[MessageCopy]:
@@ -171,7 +187,7 @@ class FtdQueue:
             dropped = self._pop_index(len(self._copies) - 1)
             self.stats.drops_overflow += 1
             self._emit_drop(dropped, "overflow")
-            return self._find(updated.message_id) is not None
+            return updated.message_id in self._index
         return True
 
     def purge(self) -> int:
@@ -187,6 +203,7 @@ class FtdQueue:
         self.stats.purged += purged
         self._copies.clear()
         self._keys.clear()
+        self._index.clear()
         return purged
 
     def sort_keys(self) -> List[Tuple[float, int]]:
@@ -197,19 +214,34 @@ class FtdQueue:
         """
         return list(self._keys)
 
+    def id_index(self) -> Dict[int, Tuple[float, int]]:
+        """Snapshot of the message id -> ``(ftd, seq)`` sort-key index.
+
+        Exposed for the invariant checker, like :meth:`sort_keys`.
+        """
+        return dict(self._index)
+
     # ------------------------------------------------------------------
     # queries used by the protocol
     # ------------------------------------------------------------------
     def available_slots_for(self, ftd: float) -> int:
         """``B(F)`` of Sec. 3.2.2: free slots plus slots held by messages
         with FTD strictly greater than ``ftd`` (which an incoming more
-        important message could displace)."""
-        displaceable = sum(1 for c in self._copies if c.ftd > ftd)
-        return self.free_slots + displaceable
+        important message could displace).
+
+        A NaN ``ftd`` counts no copy as greater, as a ``c.ftd > ftd``
+        scan would: no key compares above ``(nan, inf)``, so the answer
+        is :attr:`free_slots`.
+        """
+        return self.capacity - bisect.bisect_right(self._keys, (ftd, _INF))
 
     def count_more_important_than(self, ftd_bound: float) -> int:
-        """``K_F`` of Eq. (5): messages with FTD smaller than ``ftd_bound``."""
-        return sum(1 for c in self._copies if c.ftd < ftd_bound)
+        """``K_F`` of Eq. (5): messages with FTD smaller than ``ftd_bound``.
+
+        A NaN ``ftd_bound`` counts no copy, as a ``c.ftd < ftd_bound``
+        scan would (the bisect over ``(nan, -inf)`` returns 0).
+        """
+        return bisect.bisect_left(self._keys, (ftd_bound, -_INF))
 
     def importance_fraction(self, ftd_bound: float) -> float:
         """Eq. (5): ``alpha_i = K_F / K`` over the *capacity* K."""
@@ -219,10 +251,11 @@ class FtdQueue:
     # internals
     # ------------------------------------------------------------------
     def _find(self, message_id: int) -> Optional[int]:
-        for i, c in enumerate(self._copies):
-            if c.message_id == message_id:
-                return i
-        return None
+        key = self._index.get(message_id)
+        if key is None:
+            return None
+        # Keys are unique (``seq`` is), so this is the copy's own slot.
+        return bisect.bisect_left(self._keys, key)
 
     def _insort(self, copy: MessageCopy) -> None:
         key = (copy.ftd, self._seq)
@@ -230,7 +263,10 @@ class FtdQueue:
         idx = bisect.bisect_left(self._keys, key)
         self._keys.insert(idx, key)
         self._copies.insert(idx, copy)
+        self._index[copy.message_id] = key
 
     def _pop_index(self, idx: int) -> MessageCopy:
         self._keys.pop(idx)
-        return self._copies.pop(idx)
+        copy = self._copies.pop(idx)
+        del self._index[copy.message_id]
+        return copy

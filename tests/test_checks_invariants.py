@@ -111,6 +111,41 @@ class TestQueueInvariants:
             check_queue_invariants(q)
         assert err.value.invariant == "INV-CONSERVE"
 
+    def test_id_index_missing_entry(self):
+        q = filled_queue()
+        del q._index[q.peek().message_id]
+        with pytest.raises(InvariantViolation) as err:
+            check_queue_invariants(q)
+        assert err.value.invariant == "INV-ORDER"
+        assert "id index" in str(err.value)
+
+    def test_id_index_stale_key(self):
+        q = filled_queue()
+        head_id = q.peek().message_id
+        q._index[head_id] = (0.1, 99)  # right FTD, wrong seq
+        with pytest.raises(InvariantViolation) as err:
+            check_queue_invariants(q)
+        assert err.value.invariant == "INV-ORDER"
+        assert f"message {head_id}" in str(err.value)
+
+    def test_id_index_extra_entry(self):
+        q = filled_queue()
+        q._index[10**9] = (0.7, 99)  # names a message that is not queued
+        with pytest.raises(InvariantViolation) as err:
+            check_queue_invariants(q)
+        assert err.value.invariant == "INV-ORDER"
+
+    def test_duplicate_message_ids(self):
+        q = filled_queue()
+        # Smuggle a second copy of the head past insert()'s merge (keep
+        # the ledger consistent so the id check is the first breach).
+        q._insort(MessageCopy(q.peek().message, ftd=0.4))
+        q.stats.inserted += 1
+        with pytest.raises(InvariantViolation) as err:
+            check_queue_invariants(q)
+        assert err.value.invariant == "INV-ORDER"
+        assert "not unique" in str(err.value)
+
     def test_ledger_tracks_full_lifecycle(self):
         q = filled_queue(ftds=(0.1, 0.3, 0.5), capacity=3)
         assert not q.insert(make_copy(0.7))  # overflow: tail evicted
