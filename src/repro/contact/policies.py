@@ -33,7 +33,9 @@ class LazyXiEstimator:
     decay boundary, ``last_event + timeout``.  Every read before
     :meth:`stable_until` returns the current estimate and leaves the
     estimator untouched, which lets the contact exchange loop skip
-    rounds that would only repeat such reads.
+    rounds that would only repeat such reads, and the policies' metric
+    reads skip :meth:`xi`.  The bound is cached: every assignment to
+    ``_last_event`` refreshes it.
     """
 
     def __init__(self, alpha: float = 0.3, timeout_s: float = 60.0,
@@ -49,6 +51,17 @@ class LazyXiEstimator:
         self._xi = initial_xi
         self._last_event = 0.0
 
+    @property
+    def _last_event(self) -> float:
+        """When the last transmission or decay step was applied."""
+        return self._last
+
+    @_last_event.setter
+    def _last_event(self, value: float) -> None:
+        self._last = value
+        self._stable = (value + self.timeout_s
+                        - 1e-9 * (abs(value) + self.timeout_s))
+
     def xi(self, now: float) -> float:
         """Current estimate, with pending decay applied."""
         self._apply_decay(now)
@@ -60,8 +73,7 @@ class LazyXiEstimator:
         The next decay boundary, less a margin that absorbs the rounding
         of ``(now - last_event) / timeout`` in :meth:`_apply_decay`.
         """
-        boundary = self._last_event + self.timeout_s
-        return boundary - 1e-9 * (abs(self._last_event) + self.timeout_s)
+        return self._stable
 
     def on_transmission(self, receiver_xi: float, now: float) -> float:
         """Eq. 1 transmission branch (single receiver)."""
@@ -73,15 +85,16 @@ class LazyXiEstimator:
         return self._xi
 
     def _apply_decay(self, now: float) -> None:
-        if now < self._last_event:
+        last = self._last
+        if now < last:
             # Contact exchanges are processed at contact *end*, so reads
             # within one tick can arrive slightly out of order; skip the
             # (sub-timeout) decay rather than reject them.
             return
-        steps = int((now - self._last_event) / self.timeout_s)
+        steps = int((now - last) / self.timeout_s)
         if steps > 0:
             self._xi *= (1.0 - self.alpha) ** steps
-            self._last_event += steps * self.timeout_s
+            self._last_event = last + steps * self.timeout_s
 
 
 class ContactPolicy(abc.ABC):
@@ -172,10 +185,18 @@ class FadPolicy(ContactPolicy):
                                          initial_xi=1.0 if is_sink else 0.0)
 
     def metric(self, now: float) -> float:
-        """Eq. 1 delivery probability (1.0 for sinks)."""
+        """Eq. 1 delivery probability (1.0 for sinks).
+
+        Before the estimator's stability bound a read cannot decay it, so
+        the current estimate is returned without calling
+        :meth:`LazyXiEstimator.xi`.
+        """
         if self.is_sink:
             return 1.0
-        return self.estimator.xi(now)
+        estimator = self.estimator
+        if now < estimator._stable:
+            return estimator._xi
+        return estimator.xi(now)
 
     def metric_stable_until(self, now: float) -> float:
         """Reads are stable until the next decay boundary (forever for
@@ -262,18 +283,6 @@ class EpidemicPolicy(ContactPolicy):
                 return copy
         return None
 
-    def accept(self, copy: MessageCopy, sender: ContactPolicy,
-               now: float) -> Optional[MessageCopy]:
-        """Store the replica, evicting the oldest on overflow."""
-        # Epidemic uses drop-oldest on overflow: with drop-newest the
-        # buffer freezes on the oldest 200 messages and fresh traffic
-        # never propagates (delivery collapses below even direct
-        # transmission).  Dropping the head keeps the flood current.
-        if not self.is_sink and self.queue.free_slots == 0:
-            if copy.message_id not in self.queue:
-                self.queue.pop()
-        return super().accept(copy, sender, now)
-
     def after_transfer(self, copy: MessageCopy, peer: ContactPolicy,
                        now: float) -> None:
         """Keep replicating; only a sink transfer retires the local copy."""
@@ -292,10 +301,15 @@ class ZbrHistoryPolicy(ContactPolicy):
                                        initial_xi=1.0 if is_sink else 0.0)
 
     def metric(self, now: float) -> float:
-        """Direct-to-sink success history (1.0 for sinks)."""
+        """Direct-to-sink success history (1.0 for sinks); reads before
+        the stability bound skip :meth:`LazyXiEstimator.xi`, as in
+        :meth:`FadPolicy.metric`."""
         if self.is_sink:
             return 1.0
-        return self.history.xi(now)
+        history = self.history
+        if now < history._stable:
+            return history._xi
+        return history.xi(now)
 
     def wants_to_send(self, peer: ContactPolicy, now: float) -> Optional[MessageCopy]:
         """Custody transfer toward a strictly better history."""

@@ -10,15 +10,25 @@ No MAC is modeled: the exchange is contention-free, limited only by
 approximate protocol overhead).  Results therefore upper-bound the
 packet-level simulator's, with matching protocol *orderings*.
 
-Two mobility regimes feed the exchange loop (docs/SCENARIOS.md):
+A run has two stages (docs/SCENARIOS.md):
 
-* **geometric** (default): synthetic zone-grid motion scanned by the
-  :class:`~repro.contact.detector.ContactTracer`;
-* **plan replay** (``plan_path`` or a plan-driven ``scenario``): the
-  parsed :class:`~repro.scenario.plan.ContactPlan` windows are fed
-  straight into the exchange loop, bypassing geometry entirely — the
-  same plan can then drive the packet-level simulator for a like-for-like
-  comparison on an identical contact sequence.
+1. **Realize the contacts** as a
+   :class:`~repro.contact.detector.ContactTable` of columnar ``(a, b,
+   start, end)`` arrays.  In **geometric** mode (the default) the
+   :class:`~repro.contact.detector.ContactTracer` steps synthetic
+   zone-grid mobility tick by tick and sweeps the in-range pairs of a
+   block of ticks at once; in **plan replay** mode (``plan_path`` or a
+   plan-driven ``scenario``) the table is the parsed
+   :class:`~repro.scenario.plan.ContactPlan`'s windows, with no
+   geometry at all, so the same plan can drive the packet-level
+   simulator for a like-for-like comparison.
+2. **Exchange**: one loop walks the table in order, flushes Poisson
+   arrivals up to each window's end and runs the pairwise exchange.
+
+Contact start/end events are observations only: they are emitted (when
+a trace is bound) from the second stage, interleaved with the arrivals
+and deliveries in time order, and nothing subscribes to them to drive
+the simulation.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import heapq
 from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Optional, Tuple, Type
 
-from repro.contact.detector import Contact, ContactTracer
+from repro.contact.detector import Contact, ContactTable, ContactTracer
 from repro.contact.policies import ContactPolicy
 from repro.core.message import DataMessage, fresh_message_id
 from repro.des.rng import RandomStreams
@@ -38,7 +48,7 @@ from repro.mobility.manager import MobilityManager
 from repro.mobility.stationary import StationaryMobility
 from repro.mobility.zone import ZoneGridMobility
 from repro.obs.bus import TelemetryBus
-from repro.obs.events import ContactEnd, ContactStart, TelemetryEvent
+from repro.obs.events import ContactEnd, ContactStart
 from repro.obs.export import writer_for_path
 from repro.scenario.plan import ContactPlan, load_contact_plan, parse_contact_plan
 from repro.scenario.spec import ScenarioSpec
@@ -204,15 +214,14 @@ class ContactSimulation:
         sensor_ids = list(range(config.n_sinks,
                                 config.n_sinks + config.n_sensors))
 
-        # The exchange logic is itself a bus subscriber: the simulator
-        # consumes the same contact.end events a trace exporter would.
+        # Carries a traced run's events to its trace writer; nothing
+        # subscribes to it otherwise.
         self.bus = TelemetryBus()
         self.plan = config.resolved_plan()
         self.mobility: Optional[MobilityManager] = None
-        self._tracer: Optional[ContactTracer] = None
         if self.plan is not None:
-            # Replay mode: the plan's windows are fed straight into the
-            # exchange loop; no geometry, no mobility RNG consumption.
+            # Replay mode: the plan's windows are the contact table; no
+            # geometry, no mobility RNG consumption.
             self.plan.require_nodes(range(config.n_sinks + config.n_sensors))
         else:
             area = Area(config.area_m, config.area_m)
@@ -230,9 +239,6 @@ class ContactSimulation:
                                             [sink_model, sensor_model],
                                             comm_range=config.comm_range_m,
                                             tick_s=config.tick_s)
-            self._tracer = ContactTracer(self.mobility)
-            self._tracer.subscribe(self.bus)
-            self.bus.subscribe(ContactEnd.topic, self._on_contact_end_event)
         policy_cls = _contact_policies()[config.policy]
         self.policies: Dict[int, ContactPolicy] = {}
         for nid in sink_ids:
@@ -244,11 +250,6 @@ class ContactSimulation:
         self._arrivals = self._generate_arrivals(streams, sensor_ids)
         self.transfers = 0
         self.usable_contacts = 0
-        self._replayed_contacts = 0
-
-    def _on_contact_end_event(self, event: TelemetryEvent) -> None:
-        assert isinstance(event, ContactEnd)
-        self._on_contact_end(event.a, event.b, event.started, event.time)
 
     # ------------------------------------------------------------------
     # workload
@@ -370,50 +371,47 @@ class ContactSimulation:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _run_geometric(self) -> None:
-        """Advance mobility tick by tick, exchanging at contact ends."""
+    def _realize(self) -> ContactTable:
+        """Stage 1: the run's contacts, in processing order."""
         cfg = self.config
-        assert self.mobility is not None and self._tracer is not None
-        now = 0.0
-        self._tracer.scan(now)
-        while now < cfg.duration_s:
-            step = min(cfg.tick_s, cfg.duration_s - now)
-            self.mobility.step(step)
-            now += step
-            self._flush_arrivals(now)
-            self._tracer.scan(now)
-        self._tracer.close(cfg.duration_s)
+        if self.plan is not None:
+            return ContactTable.from_plan(self.plan, cfg.duration_s)
+        assert self.mobility is not None
+        return ContactTracer(self.mobility).realize(cfg.duration_s,
+                                                    cfg.tick_s)
 
-    def _run_replay(self) -> None:
-        """Feed the plan's windows straight into the exchange loop.
+    def _exchange(self, table: ContactTable,
+                  bus: Optional[TelemetryBus]) -> None:
+        """Stage 2: exchange over every contact of ``table``, in order.
 
-        Contacts are processed in end-time order (ties broken by start
-        and pair) and arrivals are flushed up to each window's end
-        first, so every queued copy satisfies ``received_at <= end``
-        exactly as in the geometric pipeline.  Windows beyond the run
-        duration are dropped; one straddling it is truncated, matching
-        ``ContactTracer.close``.
+        Arrivals are flushed up to each window's due instant (its end,
+        or the table's clock if that is earlier) first, so every queued
+        copy satisfies ``received_at <= end``.  With a ``bus``, each
+        contact's start is emitted before the first end due at or after
+        it (arrivals flushed up to the start first), and its end right
+        after its exchange: per tick, arrivals, then starts, then ends.
         """
-        assert self.plan is not None
-        cfg = self.config
-        horizon = cfg.duration_s
-        replay_order = sorted(self.plan.contacts,
-                              key=lambda c: (c.end, c.start, c.a, c.b))
-        for planned in replay_order:
-            if planned.start >= horizon:
-                continue
-            end = min(planned.end, horizon)
-            self._flush_arrivals(end)
-            self._replayed_contacts += 1
-            bus = self.bus
+        a, b = table.a.tolist(), table.b.tolist()
+        start, end = table.start.tolist(), table.end.tolist()
+        due = table.due().tolist()
+        rates = (table.rate_bps.tolist() if table.rate_bps is not None
+                 else [None] * len(a))
+        flush = self._flush_arrivals
+        exchange = self._on_contact_end
+        opening, opened = table.openings() if bus is not None else ([], [])
+        done = 0
+        for i in range(len(a)):
             if bus is not None:
-                bus.emit(ContactStart(time=planned.start, a=planned.a,
-                                      b=planned.b))
-                bus.emit(ContactEnd(time=end, a=planned.a, b=planned.b,
-                                    started=planned.start))
-            self._on_contact_end(planned.a, planned.b, planned.start, end,
-                                 rate_bps=planned.rate_bps)
-        self._flush_arrivals(horizon)
+                for j in opening[done:opened[i]]:
+                    flush(start[j])
+                    bus.emit(ContactStart(time=start[j], a=a[j], b=b[j]))
+                done = opened[i]
+            flush(due[i])
+            exchange(a[i], b[i], start[i], end[i], rates[i])
+            if bus is not None:
+                bus.emit(ContactEnd(time=end[i], a=a[i], b=b[i],
+                                    started=start[i]))
+        flush(table.clock)
 
     def run(self) -> ContactSimResult:
         """Run to completion and summarize."""
@@ -424,17 +422,11 @@ class ContactSimulation:
             writer.subscribe(self.bus)
             self.collector.bind_telemetry(self.bus)
         try:
-            if self.plan is not None:
-                self._run_replay()
-            else:
-                self._run_geometric()
+            table = self._realize()
+            self._exchange(table, None if writer is None else self.bus)
         finally:
             if writer is not None:
                 writer.close()
-        if self._tracer is not None:
-            n_contacts = len(self._tracer.contacts)
-        else:
-            n_contacts = self._replayed_contacts
         return ContactSimResult(
             config=cfg,
             messages_generated=self.collector.messages_generated,
@@ -443,7 +435,7 @@ class ContactSimulation:
             average_delay_s=self.collector.average_delay(),
             average_hops=self.collector.average_hops(),
             transfers=self.transfers,
-            contacts=n_contacts,
+            contacts=len(table),
             usable_contacts=self.usable_contacts,
         )
 

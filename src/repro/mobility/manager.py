@@ -20,9 +20,11 @@ Three scaling mechanisms keep 10k-node runs routine (PR 8):
   so the medium's per-frame scans stop re-deriving the same contact
   set.
 
-Callers that need every in-range pair of a tick at once (the contact
-tracer) use :meth:`in_range_pairs`, one vectorized half-neighbourhood
-sweep over the same grid keys and distance test.
+Callers that need every in-range pair at once use
+:func:`sweep_in_range`, one vectorized half-neighbourhood sweep over the
+same grid keys and distance test for a whole block of ticks (the
+contact tracer), or :meth:`MobilityManager.in_range_pairs`, its
+one-tick case.
 
 All of it is provably order-preserving: neighbor lists keep the
 historical 3 x 3 cell-scan order (cells in ``(cx-1..cx+1, cy-1..cy+1)``
@@ -244,53 +246,12 @@ class MobilityManager:
     def in_range_pairs(self) -> Set[Tuple[int, int]]:
         """Every in-range node pair ``(a, b)`` with ``a < b``.
 
-        One vectorized sweep over the grid: rows are grouped by cell
-        key, each cell is paired with itself and its half neighbourhood,
-        and the candidates pass the same float64 ``dx*dx + dy*dy <=
-        range_sq`` test as :meth:`neighbors_of`.  With the same cell keys
-        and the same arithmetic (squared differences are sign-symmetric),
-        the result equals the pair set :meth:`neighbors_of` implies.
+        The one-tick case of :func:`sweep_in_range`: with the same cell
+        keys and the same float64 distance test, the result equals the
+        pair set :meth:`neighbors_of` implies.
         """
-        keys = self._cell_keys
-        if not len(keys):
-            return set()
-        # One int64 code per cell; the +1 / +3 padding keeps every
-        # neighbour offset's code inside the grid's own code range.
-        low = keys.min(axis=0)
-        width = int(keys[:, 1].max() - low[1]) + 3
-        codes = (keys[:, 0] - low[0] + 1) * width + (keys[:, 1] - low[1] + 1)
-        order = np.argsort(codes, kind="stable")
-        cells, starts, counts = np.unique(codes[order], return_index=True,
-                                          return_counts=True)
-        firsts: List[np.ndarray] = []
-        seconds: List[np.ndarray] = []
-        for ox, oy in _HALF_NEIGHBOURHOOD:
-            target = cells + (ox * width + oy)
-            at = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
-            hit = np.nonzero(cells[at] == target)[0]
-            other = at[hit]
-            n_other = counts[other]
-            sizes = counts[hit] * n_other
-            total = int(sizes.sum())
-            # Expand every (cell, neighbour cell) match into the cross
-            # product of their rows without a Python loop.
-            match = np.repeat(np.arange(hit.size), sizes)
-            local = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes,
-                                                 sizes)
-            width_of = n_other[match]
-            rows_a = order[starts[hit][match] + local // width_of]
-            rows_b = order[starts[other][match] + local % width_of]
-            if ox == 0 and oy == 0:
-                keep = rows_a < rows_b
-                rows_a, rows_b = rows_a[keep], rows_b[keep]
-            firsts.append(rows_a)
-            seconds.append(rows_b)
-        rows_a = np.concatenate(firsts)
-        rows_b = np.concatenate(seconds)
-        d = self.positions[rows_b] - self.positions[rows_a]
-        close = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= self._range_sq
-        low_rows = np.minimum(rows_a, rows_b)[close]
-        high_rows = np.maximum(rows_a, rows_b)[close]
+        _, low_rows, high_rows = sweep_in_range(self.positions[None],
+                                                self.comm_range)
         ids = self._ids_of_row
         return {(ids[i], ids[j])
                 for i, j in zip(low_rows.tolist(), high_rows.tolist())}
@@ -330,3 +291,69 @@ class MobilityManager:
                     if dx * dx + dy * dy <= range_sq:
                         append(ids[row])
         return result
+
+
+def sweep_in_range(positions: np.ndarray, comm_range: float
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every in-range row pair of every tick of a position block.
+
+    ``positions`` is a ``(ticks, rows, 2)`` float64 block.  Returns
+    int64 arrays ``(tick, low, high)``, one entry per pair within range
+    at that tick, with ``low < high`` (row indices), in no particular
+    order.
+
+    One sweep covers the whole block: every position gets the grid key
+    ``floor(pos * (1 / comm_range))`` of
+    :meth:`MobilityManager.neighbors_of` and the cell code ``tick *
+    cells + cell``, rows are grouped by code, each cell is paired with
+    itself and its half neighbourhood, and the candidates pass the same
+    float64 ``dx*dx + dy*dy <= comm_range**2`` test (squared
+    differences are sign-symmetric).  The +1 / +3 padding of the cell
+    code keeps every neighbour offset inside its own tick's code range,
+    so ticks never pair with each other.
+    """
+    n_ticks, n_rows = positions.shape[:2]
+    flat = positions.reshape(n_ticks * n_rows, 2)
+    if not len(flat):
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    keys = np.floor(flat * (1.0 / comm_range)).astype(np.int64)
+    low = keys.min(axis=0)
+    high = keys.max(axis=0)
+    width = int(high[1] - low[1]) + 3
+    cells_per_tick = (int(high[0] - low[0]) + 3) * width
+    codes = ((keys[:, 0] - low[0] + 1) * width + (keys[:, 1] - low[1] + 1)
+             + np.repeat(np.arange(n_ticks, dtype=np.int64) * cells_per_tick,
+                         n_rows))
+    order = np.argsort(codes, kind="stable")
+    cells, starts, counts = np.unique(codes[order], return_index=True,
+                                      return_counts=True)
+    firsts: List[np.ndarray] = []
+    seconds: List[np.ndarray] = []
+    for ox, oy in _HALF_NEIGHBOURHOOD:
+        target = cells + (ox * width + oy)
+        at = np.minimum(np.searchsorted(cells, target), len(cells) - 1)
+        hit = np.nonzero(cells[at] == target)[0]
+        other = at[hit]
+        n_other = counts[other]
+        sizes = counts[hit] * n_other
+        total = int(sizes.sum())
+        # Expand every (cell, neighbour cell) match into the cross
+        # product of their rows without a Python loop.
+        match = np.repeat(np.arange(hit.size), sizes)
+        local = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        width_of = n_other[match]
+        rows_a = order[starts[hit][match] + local // width_of]
+        rows_b = order[starts[other][match] + local % width_of]
+        if ox == 0 and oy == 0:
+            keep = rows_a < rows_b
+            rows_a, rows_b = rows_a[keep], rows_b[keep]
+        firsts.append(rows_a)
+        seconds.append(rows_b)
+    rows_a = np.concatenate(firsts)
+    rows_b = np.concatenate(seconds)
+    d = flat[rows_b] - flat[rows_a]
+    close = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= comm_range * comm_range
+    low_flat = np.minimum(rows_a, rows_b)[close]
+    high_flat = np.maximum(rows_a, rows_b)[close]
+    return low_flat // n_rows, low_flat % n_rows, high_flat % n_rows

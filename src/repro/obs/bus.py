@@ -2,8 +2,8 @@
 
 Publish/subscribe over the typed topics of :mod:`repro.obs.events`.
 Subscribers are called synchronously, in subscription order (list, not
-set — dispatch order is deterministic, which matters because simulation
-logic such as the contact-level exchange handler can itself subscribe).
+set — dispatch order is deterministic, so a run's trace is too).
+Subscribers observe; no simulation logic subscribes.
 
 Instrumented layers never require a bus: they hold an optional
 reference, and the disabled path is a single attribute ``is None``
